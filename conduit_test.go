@@ -219,3 +219,17 @@ func TestOverheadMatchesPaperEnvelope(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsRunRejectsNonDisplayNames: the harness looks workloads
+// up by exact display name, so a command-line spelling such as "aes"
+// (which workloads.Find would accept) is still an unknown workload, for
+// host and device policies alike.
+func TestExperimentsRunRejectsNonDisplayNames(t *testing.T) {
+	e := conduit.NewExperiments(conduit.DefaultConfig(), 1)
+	for _, policy := range []string{"CPU", "Conduit"} {
+		_, err := e.Run("aes", policy)
+		if err == nil || !strings.Contains(err.Error(), `unknown workload "aes"`) {
+			t.Errorf(`Run("aes", %q) error = %v, want unknown workload`, policy, err)
+		}
+	}
+}

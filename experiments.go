@@ -71,22 +71,15 @@ func (e *Experiments) SetWorkers(n int) {
 }
 
 // Workloads lists the six evaluated workload names in figure order.
-func (e *Experiments) Workloads() []string {
-	names := make([]string, 0, 6)
-	for _, w := range workloads.All(1) {
-		names = append(names, w.Name)
-	}
-	return names
-}
+func (e *Experiments) Workloads() []string { return workloads.Names() }
 
 func (e *Experiments) compiled(workload string) (*Compiled, error) {
 	v, _, err := e.compiles.Do(workload, func() (interface{}, error) {
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == workload {
-				return Compile(w.Source, &e.sys.cfg)
-			}
+		w, ok := workloads.Build(workload, e.scale)
+		if !ok {
+			return nil, fmt.Errorf("conduit: unknown workload %q", workload)
 		}
-		return nil, fmt.Errorf("conduit: unknown workload %q", workload)
+		return Compile(w.Source, &e.sys.cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -537,12 +530,12 @@ func resourceStrip(ds []Decision, samples int) string {
 func (e *Experiments) Table3() (*Table, error) {
 	t := stats.NewTable("Table 3: workload characteristics",
 		"workload", "vectorizable_%", "avg_reuse", "low_%", "medium_%", "high_%", "instructions")
-	for _, w := range workloads.All(e.scale) {
-		c, err := e.compiled(w.Name)
+	for _, name := range workloads.Names() {
+		c, err := e.compiled(name)
 		if err != nil {
 			return nil, err
 		}
-		ch := workloads.Characterize(w.Name, c)
+		ch := workloads.Characterize(name, c)
 		t.AddRowf(ch.Name, ch.VectorizablePct, ch.AvgReuse, ch.LowPct, ch.MediumPct, ch.HighPct, ch.Instructions)
 	}
 	return t, nil
@@ -604,13 +597,8 @@ func (e *Experiments) AblationVectorWidth() (*Table, error) {
 		cfg := e.sys.cfg
 		cfg.SSD.PageSize = kib << 10
 		sys := NewSystem(cfg)
-		var src *Source
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == "heat-3d" {
-				src = w.Source
-			}
-		}
-		c, err := Compile(src, &cfg)
+		heat, _ := workloads.Build("heat-3d", e.scale)
+		c, err := Compile(heat.Source, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -706,13 +694,8 @@ func (e *Experiments) AblationChannels() (*Table, error) {
 		cfg := e.sys.cfg
 		cfg.SSD.Channels = ch
 		sys := NewSystem(cfg)
-		var src *Source
-		for _, w := range workloads.All(e.scale) {
-			if w.Name == "heat-3d" {
-				src = w.Source
-			}
-		}
-		r, err := sys.Run(src, "Conduit")
+		heat, _ := workloads.Build("heat-3d", e.scale)
+		r, err := sys.Run(heat.Source, "Conduit")
 		if err != nil {
 			return nil, err
 		}

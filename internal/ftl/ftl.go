@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"conduit/internal/config"
+	"conduit/internal/cow"
+	"conduit/internal/lru"
 	"conduit/internal/nand"
 	"conduit/internal/sim"
 )
@@ -18,10 +20,10 @@ type FTL struct {
 	arr *nand.Array
 
 	// Page-granular tables, chunked copy-on-write so deployment forks
-	// share unwritten chunks with the frozen master (see cow.go).
-	l2p   cowTable[int32] // LPN -> flat physical page index, -1 if unmapped
-	p2l   cowTable[LPN]   // physical page -> LPN, -1 if free/invalid
-	valid cowTable[bool]
+	// share unwritten chunks with the frozen master (see package cow).
+	l2p   cow.Table[int32] // LPN -> flat physical page index, -1 if unmapped
+	p2l   cow.Table[LPN]   // physical page -> LPN, -1 if free/invalid
+	valid cow.Table[bool]
 
 	// Per-plane allocation state.
 	freeBlocks  [][]int // free block flat-indices per plane
@@ -29,7 +31,7 @@ type FTL struct {
 	nextPage    []int   // next page offset within the active block
 	validCount  []int   // valid pages per block
 
-	cache *mappingCache
+	cache *lru.Cache[LPN] // cached mapping table (DFTL demand caching)
 
 	nextPlane int // round-robin cursor for unconstrained allocation
 
@@ -44,17 +46,18 @@ func New(cfg *config.SSD, arr *nand.Array) *FTL {
 		cfg:         cfg,
 		geo:         geo,
 		arr:         arr,
-		l2p:         newCOWTable[int32](cfg.UsablePages(), -1),
-		p2l:         newCOWTable[LPN](cfg.TotalPages(), -1),
-		valid:       newCOWTable[bool](cfg.TotalPages(), false),
+		l2p:         cow.New[int32](cfg.UsablePages(), -1),
+		p2l:         cow.New[LPN](cfg.TotalPages(), -1),
+		valid:       cow.New(cfg.TotalPages(), false),
 		freeBlocks:  make([][]int, planes),
 		activeBlock: make([]int, planes),
 		nextPage:    make([]int, planes),
 		validCount:  make([]int, geo.TotalBlocks()),
-		cache:       newMappingCache(int(float64(cfg.UsablePages()) * cfg.MappingCacheRatio)),
+		cache:       lru.New[LPN](int(float64(cfg.UsablePages()) * cfg.MappingCacheRatio)),
 	}
 	for p := 0; p < planes; p++ {
 		f.activeBlock[p] = -1
+		f.freeBlocks[p] = make([]int, 0, cfg.BlocksPerPlane)
 	}
 	// Seed per-plane free lists with every block.
 	for b := 0; b < geo.TotalBlocks(); b++ {
@@ -92,13 +95,13 @@ func (f *FTL) Lookup(lpn LPN) (nand.Addr, sim.Time, error) {
 		return nand.Addr{}, 0, fmt.Errorf("ftl: LPN %d is unmapped", lpn)
 	}
 	var lat sim.Time
-	if f.cache.touch(lpn) {
+	if f.cache.Touch(lpn) {
 		f.mapHits++
 		lat = f.cfg.TL2PLookupDRAM
 	} else {
 		f.mapMisses++
 		lat = f.cfg.TL2PLookupFlash
-		f.cache.insert(lpn)
+		f.cache.Insert(lpn)
 	}
 	return f.geo.AddrOf(int(f.l2p.At(i))), lat, nil
 }
@@ -228,7 +231,7 @@ func (f *FTL) commitMapping(lpn LPN, addr nand.Addr) {
 	f.p2l.Set(phys, lpn)
 	f.valid.Set(phys, true)
 	f.validCount[f.geo.BlockIndex(addr)]++
-	f.cache.insert(lpn)
+	f.cache.Insert(lpn)
 }
 
 // allocate returns the next erased page to program in plane (or the
@@ -437,7 +440,7 @@ func (f *FTL) Clone(arr *nand.Array) *FTL {
 		activeBlock: append([]int(nil), f.activeBlock...),
 		nextPage:    append([]int(nil), f.nextPage...),
 		validCount:  append([]int(nil), f.validCount...),
-		cache:       f.cache.clone(),
+		cache:       f.cache.Clone(),
 		nextPlane:   f.nextPlane,
 		gcRuns:      f.gcRuns,
 		migrations:  f.migrations,
@@ -476,114 +479,4 @@ func maxTime(a, b sim.Time) sim.Time {
 		return a
 	}
 	return b
-}
-
-// mappingCache is a fixed-capacity LRU of cached L2P entries (the DFTL
-// cached mapping table). Nodes live in a flat slab indexed by int32 and
-// linked by slab index rather than by pointer: cloning the cache — which
-// Device.Clone does on every deployment fork — is then one slice copy
-// plus one map copy instead of an allocation per cached entry, and the
-// slab stays dense (freed slots are recycled through a free list
-// threaded over next).
-type mappingCache struct {
-	capacity int
-	index    map[LPN]int32 // lpn -> slab slot
-	nodes    []cacheNode
-	head     int32 // most recent, -1 if empty
-	tail     int32 // least recent, -1 if empty
-	free     int32 // free-slot list head (threaded through next), -1 if none
-}
-
-type cacheNode struct {
-	lpn        LPN
-	prev, next int32
-}
-
-func newMappingCache(capacity int) *mappingCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &mappingCache{
-		capacity: capacity,
-		index:    make(map[LPN]int32),
-		head:     -1, tail: -1, free: -1,
-	}
-}
-
-// clone copies the cache preserving the exact recency order.
-func (c *mappingCache) clone() *mappingCache {
-	nc := *c
-	nc.index = make(map[LPN]int32, len(c.index))
-	for k, v := range c.index {
-		nc.index[k] = v
-	}
-	nc.nodes = append([]cacheNode(nil), c.nodes...)
-	return &nc
-}
-
-// alloc returns a free slab slot, growing the slab if none is free.
-func (c *mappingCache) alloc() int32 {
-	if c.free != -1 {
-		i := c.free
-		c.free = c.nodes[i].next
-		return i
-	}
-	c.nodes = append(c.nodes, cacheNode{})
-	return int32(len(c.nodes) - 1)
-}
-
-// touch reports whether lpn is cached, refreshing its recency.
-func (c *mappingCache) touch(lpn LPN) bool {
-	i, ok := c.index[lpn]
-	if !ok {
-		return false
-	}
-	c.unlink(i)
-	c.pushFront(i)
-	return true
-}
-
-// insert caches lpn, evicting the least-recently-used entry if full.
-func (c *mappingCache) insert(lpn LPN) {
-	if c.touch(lpn) {
-		return
-	}
-	if len(c.index) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.index, c.nodes[lru].lpn)
-		c.nodes[lru].next = c.free
-		c.free = lru
-	}
-	i := c.alloc()
-	c.nodes[i] = cacheNode{lpn: lpn}
-	c.index[lpn] = i
-	c.pushFront(i)
-}
-
-func (c *mappingCache) unlink(i int32) {
-	n := &c.nodes[i]
-	if n.prev != -1 {
-		c.nodes[n.prev].next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != -1 {
-		c.nodes[n.next].prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = -1, -1
-}
-
-func (c *mappingCache) pushFront(i int32) {
-	n := &c.nodes[i]
-	n.prev, n.next = -1, c.head
-	if c.head != -1 {
-		c.nodes[c.head].prev = i
-	}
-	c.head = i
-	if c.tail == -1 {
-		c.tail = i
-	}
 }

@@ -90,7 +90,7 @@ func TestLookupLatencyCacheHitVsMiss(t *testing.T) {
 	// Flood the cache with other entries to evict LPN 0.
 	capEntries := int(float64(cfg.UsablePages()) * cfg.MappingCacheRatio)
 	for i := 1; i <= capEntries+1; i++ {
-		f.cache.insert(LPN(i))
+		f.cache.Insert(LPN(i))
 	}
 	_, lat, err = f.Lookup(0)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"conduit/internal/cores"
 	"conduit/internal/energy"
 	"conduit/internal/isa"
+	"conduit/internal/lru"
 	"conduit/internal/sim"
 	"conduit/internal/stats"
 )
@@ -122,8 +123,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 	if cacheCap < 4 {
 		cacheCap = 4
 	}
-	cached := make(map[isa.PageID]int64, cacheCap)
-	var tick int64
+	cache := lru.New[isa.PageID](cacheCap)
 
 	// Page buffers are run-local: every mem payload is allocated by this
 	// run (inputs are copied in), so a payload replaced by a later write
@@ -152,25 +152,6 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 		mem[p] = b
 		return b
 	}
-	touch := func(p isa.PageID) (hit bool) {
-		tick++
-		if _, ok := cached[p]; ok {
-			cached[p] = tick
-			return true
-		}
-		if len(cached) >= cacheCap {
-			var victim isa.PageID
-			oldest := int64(1<<62 - 1)
-			for q, at := range cached {
-				if at < oldest {
-					victim, oldest = q, at
-				}
-			}
-			delete(cached, victim)
-		}
-		cached[p] = tick
-		return false
-	}
 
 	var elapsed sim.Time
 	var pcieBytes int64
@@ -185,7 +166,8 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 				memBW = h.HBMBandwidth
 			}
 			for _, s := range inst.Srcs {
-				if !touch(s) {
+				if !cache.Touch(s) {
+					cache.Insert(s)
 					// Page fault to the SSD: a demand miss overlaps
 					// with a limited number of in-flight reads (the I/O
 					// queue depth the blocked computation sustains), so
@@ -202,7 +184,7 @@ func (m *Model) Run(prog *isa.Program, inputs map[isa.PageID][]byte) (*Result, m
 				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
 			}
 			if inst.Dst != isa.NoPage {
-				touch(inst.Dst)
+				cache.Insert(inst.Dst)
 				hostMem += sim.Time(float64(inst.VectorBytes()) / memBW * 1e9)
 				en.Move("host-dram", float64(inst.VectorBytes())*h.EHostPerByte)
 			}

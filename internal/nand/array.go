@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"conduit/internal/config"
+	"conduit/internal/cow"
 	"conduit/internal/energy"
 	"conduit/internal/sim"
 	"conduit/internal/vecmath"
@@ -84,11 +85,11 @@ type Array struct {
 	dies   []*sim.Calendar // one per die: senses/programs/erases/latch ops serialize here
 	bus    []*sim.Calendar // one per channel: data transfers serialize here
 
-	data      map[int][]byte // flat page index -> bytes (lazy; erased pages read as 0xFF)
-	state     []pageState
-	erases    []int       // per block
-	buffers   []*Buffer   // per plane
-	bitErrors map[int]int // injected raw-cell bit flips per page (see ecc.go)
+	data      map[int][]byte       // flat page index -> bytes (lazy; erased pages read as 0xFF)
+	state     cow.Table[pageState] // copy-on-write; see Freeze
+	erases    []int                // per block
+	buffers   []*Buffer            // per plane
+	bitErrors map[int]int          // injected raw-cell bit flips per page (see ecc.go)
 
 	// Counters for experiment reporting.
 	senses, programs, eraseOps, mwsOps, latchRounds, fcTransfers int64
@@ -108,7 +109,7 @@ func NewArray(cfg *config.SSD, en *energy.Account) *Array {
 		timing:    cfg.TimingOnly,
 		data:      make(map[int][]byte),
 		bitErrors: make(map[int]int),
-		state:     make([]pageState, cfg.TotalPages()),
+		state:     cow.New(cfg.TotalPages(), pageErased),
 		erases:    make([]int, geo.TotalBlocks()),
 		buffers:   make([]*Buffer, cfg.Channels*cfg.DiesPerChannel*cfg.PlanesPerDie),
 	}
@@ -152,7 +153,7 @@ func (a *Array) PageData(addr Addr) []byte {
 
 // IsProgrammed reports whether addr holds data.
 func (a *Array) IsProgrammed(addr Addr) bool {
-	return a.state[a.geo.PageIndex(addr)] == pageProgrammed
+	return a.state.At(a.geo.PageIndex(addr)) == pageProgrammed
 }
 
 func (a *Array) raw(addr Addr) []byte {
@@ -205,7 +206,7 @@ func (a *Array) ReadChecked(now, ready sim.Time, addr Addr) ([]byte, sim.Time, e
 // erase first, and violating that is always a bug above us.
 func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 	idx := a.geo.PageIndex(addr)
-	if a.state[idx] == pageProgrammed {
+	if a.state.At(idx) == pageProgrammed {
 		panic(fmt.Sprintf("nand: program to programmed page %v", addr))
 	}
 	// A timing-only array accepts an elided (nil) payload; any payload
@@ -222,7 +223,7 @@ func (a *Array) Program(now, ready sim.Time, addr Addr, data []byte) sim.Time {
 		a.data[idx] = append([]byte(nil), data...)
 	}
 	delete(a.bitErrors, idx)
-	a.state[idx] = pageProgrammed
+	a.state.Set(idx, pageProgrammed)
 	a.programs++
 	a.bytesIn += int64(a.cfg.PageSize)
 	a.en.Compute("ifp", a.eProg)
@@ -240,7 +241,7 @@ func (a *Array) Erase(now sim.Time, addr Addr) sim.Time {
 		idx := a.geo.PageIndex(base)
 		delete(a.data, idx)
 		delete(a.bitErrors, idx)
-		a.state[idx] = pageErased
+		a.state.Set(idx, pageErased)
 	}
 	a.erases[a.geo.BlockIndex(addr)]++
 	a.eraseOps++
@@ -467,7 +468,7 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 		return 0, fmt.Errorf("nand: flush of empty plane buffer at %v", dst)
 	}
 	idx := a.geo.PageIndex(dst)
-	if a.state[idx] == pageProgrammed {
+	if a.state.At(idx) == pageProgrammed {
 		return 0, fmt.Errorf("nand: flush to programmed page %v", dst)
 	}
 	die := a.dies[a.geo.DieIndex(dst)]
@@ -475,7 +476,7 @@ func (a *Array) FlushBuffer(now, ready sim.Time, dst Addr) (sim.Time, error) {
 	if !a.timing {
 		a.data[idx] = append([]byte(nil), buf.Data...)
 	}
-	a.state[idx] = pageProgrammed
+	a.state.Set(idx, pageProgrammed)
 	a.programs++
 	a.en.Compute("ifp", a.eProg)
 	return done, nil
@@ -505,8 +506,14 @@ func (a *Array) SetPageForTest(addr Addr, data []byte) {
 	}
 	idx := a.geo.PageIndex(addr)
 	a.data[idx] = append([]byte(nil), data...)
-	a.state[idx] = pageProgrammed
+	a.state.Set(idx, pageProgrammed)
 }
+
+// Freeze releases ownership of the page-state table so subsequent Clones
+// alias its chunks copy-on-write instead of copying them (see package
+// cow). Clone never mutates the parent, so a frozen array may be cloned
+// from multiple goroutines concurrently.
+func (a *Array) Freeze() { a.state.Freeze() }
 
 // Clone returns an independent copy of the array — page contents, page
 // states, erase counts, plane buffers, injected bit errors, calendars, and
@@ -528,7 +535,7 @@ func (a *Array) Clone(en *energy.Account) *Array {
 		timing:         a.timing,
 		data:           make(map[int][]byte, len(a.data)),
 		bitErrors:      make(map[int]int, len(a.bitErrors)),
-		state:          append([]pageState(nil), a.state...),
+		state:          a.state.Clone(),
 		erases:         append([]int(nil), a.erases...),
 		buffers:        make([]*Buffer, len(a.buffers)),
 		senses:         a.senses,

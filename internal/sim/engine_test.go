@@ -301,3 +301,50 @@ func TestRNGFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// referenceBytes is the byte-at-a-time fill RNG.Bytes must reproduce:
+// one Uint64 per started group of eight bytes, least significant first.
+func referenceBytes(r *RNG, p []byte) {
+	var v uint64
+	for i := range p {
+		if i%8 == 0 {
+			v = r.Uint64()
+		}
+		p[i] = byte(v)
+		v >>= 8
+	}
+}
+
+// TestRNGBytesMatchesByteLoop pins the byte stream Bytes produces (every
+// workload input and golden file derives from it) to the reference loop,
+// for whole buffers of every length from 0 to 33 and for one buffer
+// filled in odd-sized pieces, where each call starts a fresh draw.
+func TestRNGBytesMatchesByteLoop(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 0xAE5, 1<<64 - 1} {
+		for n := 0; n <= 33; n++ {
+			got, want := make([]byte, n), make([]byte, n)
+			a, b := NewRNG(seed), NewRNG(seed)
+			a.Bytes(got)
+			referenceBytes(b, want)
+			if string(got) != string(want) {
+				t.Fatalf("seed %d len %d: Bytes = %x, want %x", seed, n, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d len %d: Bytes consumed a different number of draws", seed, n)
+			}
+		}
+		got, want := make([]byte, 200), make([]byte, 200)
+		a, b := NewRNG(seed), NewRNG(seed)
+		for off, step := 0, 1; off < len(got); off, step = off+step, step+2 {
+			end := off + step
+			if end > len(got) {
+				end = len(got)
+			}
+			a.Bytes(got[off:end])
+			referenceBytes(b, want[off:end])
+		}
+		if string(got) != string(want) {
+			t.Fatalf("seed %d: piecewise Bytes = %x, want %x", seed, got, want)
+		}
+	}
+}

@@ -23,10 +23,14 @@ import (
 // compiler's liveness metadata, none of which Run mutates — so the clone
 // and the original may be driven concurrently from different goroutines.
 // The Device itself is still single-goroutine: clone once per worker.
-// Freeze marks the device's large mutable tables copy-on-write (see
-// ftl.FTL.Freeze): subsequent Clones alias them and pay only for what
+// Freeze marks the device's page-granular tables copy-on-write — the
+// NAND page states and the FTL's L2P, P2L and validity tables (see
+// package cow): subsequent Clones alias them and pay only for the chunks
 // they write. Call it once on a pristine post-deploy master.
-func (d *Device) Freeze() { d.FTL.Freeze() }
+func (d *Device) Freeze() {
+	d.Flash.Freeze()
+	d.FTL.Freeze()
+}
 
 func (d *Device) Clone() *Device {
 	en := d.En.Clone()

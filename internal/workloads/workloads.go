@@ -39,6 +39,28 @@ func All(scale int) []Named {
 	return out
 }
 
+// Names returns the six evaluated workloads' display names in figure
+// order, without building any source.
+func Names() []string {
+	out := make([]string, 0, len(builders))
+	for _, b := range builders {
+		out = append(out, b.name)
+	}
+	return out
+}
+
+// Build returns the evaluation workload whose display name is exactly
+// name (no Canonical folding), built at the given scale. Only that
+// workload's source is constructed.
+func Build(name string, scale int) (Named, bool) {
+	for _, b := range builders {
+		if b.name == name {
+			return Named{b.name, b.build(scale)}, true
+		}
+	}
+	return Named{}, false
+}
+
 // Canonical normalizes a workload name for command-line lookup: lowercase
 // with spaces as dashes ("LlaMA2 Inference" -> "llama2-inference").
 func Canonical(s string) string {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"conduit/internal/compiler"
@@ -215,5 +216,40 @@ func TestPartitionMetadata(t *testing.T) {
 	// The predicate matches under Canonical, like Find does.
 	if p := Partition("LlaMA2 Inference"); p("wq_0_1") || !p("x") {
 		t.Error("display-name lookup did not resolve the transformer rules")
+	}
+}
+
+// TestBuildAndNamesMatchAll checks the by-name surfaces against All:
+// Names lists All's names in order, and Build of each exact name compiles
+// to the same program and inputs as the matching All entry. Build does
+// not fold names the way Find does.
+func TestBuildAndNamesMatchAll(t *testing.T) {
+	cfg := config.TestScale()
+	all, names := All(1), Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() has %d entries, All has %d", len(names), len(all))
+	}
+	for i, w := range all {
+		if names[i] != w.Name {
+			t.Errorf("Names()[%d] = %q, All()[%d] is %q", i, names[i], i, w.Name)
+		}
+		b, ok := Build(w.Name, 1)
+		if !ok || b.Name != w.Name {
+			t.Fatalf("Build(%q) = %q, %v", w.Name, b.Name, ok)
+		}
+		want, err := compiler.Compile(w.Source, cfg.SSD.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := compiler.Compile(b.Source, cfg.SSD.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Prog, want.Prog) || !reflect.DeepEqual(got.Inputs, want.Inputs) {
+			t.Errorf("%s: Build compiles to a different program or inputs than All", w.Name)
+		}
+	}
+	if _, ok := Build("aes", 1); ok {
+		t.Error(`Build("aes") succeeded; only exact display names build`)
 	}
 }

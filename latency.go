@@ -113,9 +113,7 @@ func (e *Experiments) LatencyCurve(opts LatencyOptions) (*Table, error) {
 	}
 	names := opts.Workloads
 	if len(names) == 0 {
-		for _, w := range workloads.All(1) {
-			names = append(names, w.Name)
-		}
+		names = workloads.Names()
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Latency: open-loop %s arrivals, SLO %v, %v per point", opts.Arrival, opts.SLO, opts.Duration),
